@@ -45,8 +45,10 @@ fn timed(name: &str, iters: usize, f: impl FnMut()) -> f64 {
 
 /// Write every recorded series to `BENCH_<tag>.json` as
 /// `[{"name", "median_ns", "ops_per_sec"}, ...]`. Hand-rolled JSON:
-/// the offline workspace has no serde.
-fn write_json(tag: &str) -> std::io::Result<String> {
+/// the offline workspace has no serde. A smoke run writes under
+/// `target/bench-smoke/` so it never replaces a committed full-run
+/// file in the working directory.
+fn write_json(tag: &str, smoke: bool) -> std::io::Result<String> {
     let records = RECORDS.lock().unwrap();
     let mut out = String::from("[\n");
     for (i, (name, us)) in records.iter().enumerate() {
@@ -65,7 +67,12 @@ fn write_json(tag: &str) -> std::io::Result<String> {
         ));
     }
     out.push_str("]\n");
-    let path = format!("BENCH_{tag}.json");
+    let path = if smoke {
+        std::fs::create_dir_all("target/bench-smoke")?;
+        format!("target/bench-smoke/BENCH_{tag}.json")
+    } else {
+        format!("BENCH_{tag}.json")
+    };
     std::fs::write(&path, out)?;
     Ok(path)
 }
@@ -145,7 +152,7 @@ fn main() -> Result<()> {
     }
 
     if let Some(tag) = json_tag {
-        let path = write_json(&tag).map_err(HipacError::from)?;
+        let path = write_json(&tag, smoke).map_err(HipacError::from)?;
         println!("_machine-readable copy written to `{path}`_");
     }
     Ok(())

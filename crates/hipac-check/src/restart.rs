@@ -564,18 +564,20 @@ fn open_group_store(
 }
 
 /// Commit `committers` single-Put batches from as many threads so
-/// they land in **one** cohort, deterministically, even on one core.
+/// they land in **one** cohort, deterministically, on any core count.
 ///
 /// A barrier alone cannot do that: the first thread released may run
 /// its whole commit before any other is scheduled, and the
 /// degenerate-to-immediate window (`queued >= committers`) then
-/// flushes a cohort of one. So a *plug* commit goes first: members
-/// spin until the plug's WAL append crosses the fault policy — at
-/// which point the plug holds the flush mutex and is headed into the
-/// cohort fsync — then all enter `commit`. Each member registers on
-/// the committers gauge before queuing, so whichever member leads
-/// after the plug releases waits out the straggler window until every
-/// member is queued.
+/// flushes a cohort of one. So a *plug* commit goes first and is held
+/// at its first fault point — inside its flush, holding the flush
+/// mutex — by the fault policy's gate. Members spin until the plug has
+/// crossed that point, then all enter `commit`; the gate opens only
+/// once the store's committers gauge counts every member. Whichever
+/// member leads after the plug then finds every member registered and
+/// waits out the straggler window until all are queued. (Releasing the
+/// plug on a timer instead split the cohort whenever a member thread
+/// was descheduled for longer than the plug's fsync.)
 ///
 /// Returns `(plug_outcome, member_outcomes)`.
 #[allow(clippy::type_complexity)]
@@ -589,6 +591,7 @@ fn group_burst(
     Vec<std::result::Result<(), hipac_common::HipacError>>,
 ) {
     let hits_before = faults.hits();
+    faults.close_gate_at(hits_before);
     let barrier = Arc::new(std::sync::Barrier::new(committers + 1));
     let mut joins = Vec::new();
     for i in 0..committers {
@@ -619,6 +622,13 @@ fn group_burst(
             store.commit(TxnId(999), &ops)
         })
     };
+    // Every member plus the parked plug inside `commit`.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while store.group_commit_stats().committers < committers as u64 + 1 {
+        assert!(Instant::now() < deadline, "cohort members never entered commit");
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    faults.open_gate();
     let plug_result = plug.join().expect("plug committer panicked");
     let member_results = joins
         .into_iter()

@@ -608,16 +608,16 @@ fn wedged_subscriber(addr: &str, start_lsn: u64) -> std::io::Result<std::thread:
         },
     };
     stream.write_all(&ping.encode())?;
-    let version = loop {
+    loop {
         match Frame::read_from(&mut stream) {
             Ok(Some(Frame::Response {
                 id: 1,
-                reply: Reply::Pong { version },
-            })) => break version,
+                reply: Reply::Pong { .. },
+            })) => break,
             Ok(Some(_)) => continue,
             _ => return Err(wedge_err("handshake failed")),
         }
-    };
+    }
 
     let sub = Frame::Request {
         id: 2,
@@ -627,7 +627,7 @@ fn wedged_subscriber(addr: &str, start_lsn: u64) -> std::io::Result<std::thread:
             epoch: 0,
         },
     };
-    stream.write_all(&sub.encode_versioned(version))?;
+    stream.write_all(&sub.encode())?;
     loop {
         match Frame::read_from(&mut stream) {
             Ok(Some(Frame::Response { id: 2, reply })) => match reply {

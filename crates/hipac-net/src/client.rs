@@ -38,7 +38,7 @@
 
 use crate::proto::{
     Command, Frame, PushEvent, Reply, RequestMeta, WireAttr, WireError, WireRow, WireStats,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use hipac_common::ROLE_PRIMARY;
 use hipac_common::{TxnId, Value};
@@ -62,8 +62,8 @@ type Pending = Mutex<HashMap<u64, crossbeam::channel::Sender<Reply>>>;
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Attempts beyond the first after a transport failure. Retries
-    /// re-send the same idempotency key, so they are exactly-once
-    /// against a v3 server. `0` fails fast.
+    /// re-send the same idempotency key, so they are exactly-once.
+    /// `0` fails fast.
     pub max_retries: u32,
     /// Base reconnect backoff; attempt `n` waits `backoff * 2^(n-1)`
     /// plus deterministic jitter, capped at one second.
@@ -92,14 +92,13 @@ pub struct ClientConfig {
     /// How long an open breaker refuses before allowing one half-open
     /// probe.
     pub breaker_cooldown: Duration,
-    /// Shared server secret for session authentication (protocol v8).
+    /// Shared server secret for session authentication.
     /// When set, every (re)connect handshake presents
     /// `HMAC-SHA256(secret, client_id)` via `Command::Auth` after the
     /// ping, binding the session to this client's identity — required
-    /// before a v8 server with auth enabled honors keyed requests,
-    /// journal replays, or push acks for that `client_id`. Against a
-    /// v≤7 server (which cannot understand `Auth`) the step is
-    /// skipped. `None` sends no token.
+    /// before a server with auth enabled honors keyed requests,
+    /// journal replays, or push acks for that `client_id`. `None`
+    /// sends no token.
     pub auth_secret: Option<Vec<u8>>,
 }
 
@@ -460,15 +459,10 @@ impl HipacClient {
             let ping = Command::Ping {
                 version: PROTOCOL_VERSION,
             };
-            let negotiated = match raw_request(&conn, id, RequestMeta::default(), ping, None)? {
-                // Additive negotiation: any version both ends speak is
-                // acceptable — the server answers with the minimum of
-                // the two, and v5 extensions degrade gracefully.
-                Reply::Pong { version }
-                    if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-                {
-                    version
-                }
+            // One protocol version: a peer answering anything but our
+            // own version (or refusing ours) is a different build.
+            match raw_request(&conn, id, RequestMeta::default(), ping, None)? {
+                Reply::Pong { version } if version == PROTOCOL_VERSION => {}
                 Reply::Pong { version } => {
                     return Err(WireError::Protocol(format!(
                         "server speaks protocol v{version}, client v{PROTOCOL_VERSION}"
@@ -476,25 +470,22 @@ impl HipacClient {
                 }
                 Reply::Err { kind, message } => return Err(WireError::Remote { kind, message }),
                 other => return Err(unexpected(other)),
-            };
+            }
             // Authenticate before re-subscribing: subscriptions bind to
-            // the proven identity on a v8 server with auth enabled, so
-            // the token must land first. A v≤7 server never sees the
-            // opcode (it could not decode it).
+            // the proven identity on a server with auth enabled, so the
+            // token must land first.
             if let Some(secret) = &self.config.auth_secret {
-                if negotiated >= 8 {
-                    let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                    let auth = Command::Auth {
-                        client_id: self.client_id,
-                        token: crate::auth::session_token(secret, self.client_id).to_vec(),
-                    };
-                    match raw_request(&conn, id, RequestMeta::default(), auth, None)? {
-                        Reply::Ok => {}
-                        Reply::Err { kind, message } => {
-                            return Err(WireError::Remote { kind, message })
-                        }
-                        other => return Err(unexpected(other)),
+                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+                let auth = Command::Auth {
+                    client_id: self.client_id,
+                    token: crate::auth::session_token(secret, self.client_id).to_vec(),
+                };
+                match raw_request(&conn, id, RequestMeta::default(), auth, None)? {
+                    Reply::Ok => {}
+                    Reply::Err { kind, message } => {
+                        return Err(WireError::Remote { kind, message })
                     }
+                    other => return Err(unexpected(other)),
                 }
             }
             for handler in self.subscribed.lock().iter() {
@@ -1237,11 +1228,10 @@ fn read_loop(
                 // whose Ok the server still sends); drop the reply.
             }
             Ok(Some(Frame::Push(event))) => {
-                // seq 0 = pre-v4 unacked push: always deliver, no ack.
-                // Otherwise dedup on the per-handler high-water mark —
-                // redelivery after reconnect resends pushes the server
-                // never saw acked, including ones we already ran.
-                let duplicate = event.seq != 0 && {
+                // Dedup on the per-handler high-water mark — redelivery
+                // after reconnect resends pushes the server never saw
+                // acked, including ones we already ran.
+                let duplicate = {
                     let mut seen = push_seen.lock();
                     let last = seen.entry(event.handler.clone()).or_insert(0);
                     if event.seq <= *last {
@@ -1264,18 +1254,16 @@ fn read_loop(
                 // handler, exactly-once per seq for delivery). Id 0 is
                 // the fire-and-forget channel: no waiter is registered,
                 // so the server's Ok is dropped above.
-                if event.seq != 0 {
-                    let ack = Frame::Request {
-                        id: 0,
-                        meta: RequestMeta::default(),
-                        command: Command::AckPush {
-                            handler: event.handler.clone(),
-                            seq: event.seq,
-                        },
-                    };
-                    if ack.write_to(&mut *writer.lock()).is_err() {
-                        break;
-                    }
+                let ack = Frame::Request {
+                    id: 0,
+                    meta: RequestMeta::default(),
+                    command: Command::AckPush {
+                        handler: event.handler.clone(),
+                        seq: event.seq,
+                    },
+                };
+                if ack.write_to(&mut *writer.lock()).is_err() {
+                    break;
                 }
             }
             // Servers never send requests to plain clients, and repl

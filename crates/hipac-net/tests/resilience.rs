@@ -775,8 +775,8 @@ fn adaptive_shed_refuses_when_queueing_delay_over_budget() {
     }
 }
 
-/// Raw request/response roundtrip helper for version-negotiation
-/// tests: one frame out, matching response back, pushes skipped.
+/// Raw request/response roundtrip helper for handshake tests: one
+/// frame out, matching response back, pushes skipped.
 fn raw_roundtrip(stream: &mut TcpStream, id: u64, meta: RequestMeta, command: Command) -> Reply {
     stream
         .write_all(&Frame::Request { id, meta, command }.encode())
@@ -790,118 +790,81 @@ fn raw_roundtrip(stream: &mut TcpStream, id: u64, meta: RequestMeta, command: Co
     }
 }
 
-/// Version negotiation is a clamp to the server's supported range:
-/// in-range offers echo back, newer offers settle on v9, ancient
-/// offers are clamped up to v4 (the client refuses on its side).
+/// A one-shot peer of another build: answers the first request frame
+/// with `reply`, then closes.
+fn foreign_peer(reply: Reply) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        if let Ok(Some(Frame::Request { id, .. })) = Frame::read_from(&mut conn) {
+            let _ = conn.write_all(&Frame::Response { id, reply }.encode());
+        }
+    });
+    (addr, peer)
+}
+
+/// One protocol version: both the server and a replica's listener
+/// answer `Ping { version: 9 }` with `Pong { version: 9 }` and refuse
+/// every other offer with a typed `VersionMismatch`; a client dialing a
+/// peer of another version gets a typed error at connect.
 #[test]
-fn ping_negotiation_clamps_to_supported_range() {
+fn ping_refuses_every_other_version() {
+    let dir = std::env::temp_dir().join(format!("hipac-net-ping-refusal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
     let server = server();
-    for (offered, want) in [(1u32, 4u32), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (99, 9)] {
-        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        match raw_roundtrip(
-            &mut conn,
-            1,
-            RequestMeta::default(),
-            Command::Ping { version: offered },
-        ) {
-            Reply::Pong { version } => {
-                assert_eq!(version, want, "offer {offered} negotiated {version}")
+    let replica = hipac_repl::ReplicaNode::start(
+        dir.join("replica"),
+        server.local_addr().to_string(),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    for addr in [server.local_addr(), replica.local_addr()] {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        for (id, offered) in [1u32, 4, 8, 10, 99].into_iter().enumerate() {
+            match raw_roundtrip(
+                &mut conn,
+                id as u64 + 1,
+                RequestMeta::default(),
+                Command::Ping { version: offered },
+            ) {
+                Reply::Err { kind, message } => {
+                    assert_eq!(kind, "VersionMismatch", "{addr} ping {offered}: {message}")
+                }
+                other => panic!("{addr} ping {offered} produced {other:?}"),
             }
-            other => panic!("ping {offered} produced {other:?}"),
+        }
+        match raw_roundtrip(&mut conn, 9, RequestMeta::default(), Command::Ping { version: 9 }) {
+            Reply::Pong { version } => assert_eq!(version, 9),
+            other => panic!("{addr} ping 9 produced {other:?}"),
         }
     }
-}
+    drop(replica);
 
-/// A pre-v8 peer against an auth-enabled server: `Auth` is refused
-/// `Unsupported`, keyed requests are refused `AuthFailed`, but unkeyed
-/// traffic still works — the session is confined to the
-/// unauthenticated tenant class instead of being cut off.
-#[test]
-fn pre_v8_peer_lands_in_unauthenticated_class() {
-    let server = server_with(ServerConfig {
-        auth_secret: Some(b"mixed-version-secret".to_vec()),
-        ..ServerConfig::default()
-    });
-    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-    match raw_roundtrip(&mut conn, 1, RequestMeta::default(), Command::Ping { version: 7 }) {
-        Reply::Pong { version } => assert_eq!(version, 7),
-        other => panic!("ping produced {other:?}"),
+    // A peer of an older build answers `Pong` with its own version; a
+    // newer one refuses ours. Either way connect fails typed, at once.
+    let started = std::time::Instant::now();
+    let (old, peer) = foreign_peer(Reply::Pong { version: 8 });
+    match HipacClient::connect(old) {
+        Err(WireError::Protocol(m)) => assert!(m.contains("v8"), "{m}"),
+        Err(other) => panic!("old peer produced {other:?}"),
+        Ok(_) => panic!("connect to an old peer succeeded"),
     }
-    // The v7 session cannot even present a token...
-    let token = hipac_net::auth::session_token(b"mixed-version-secret", 42).to_vec();
-    match raw_roundtrip(
-        &mut conn,
-        2,
-        RequestMeta::default(),
-        Command::Auth { client_id: 42, token },
-    ) {
-        Reply::Err { kind, message } => {
-            assert_eq!(kind, "Unsupported", "{message}");
-            assert!(message.contains("v8"), "{message}");
-        }
-        other => panic!("pre-v8 auth produced {other:?}"),
-    }
-    // ...so its keyed requests are refused per the identity gate...
-    let keyed = RequestMeta {
-        client_id: 42,
-        seq: 1,
-        deadline_ms: 0,
+    peer.join().unwrap();
+    let newer = Reply::Err {
+        kind: "VersionMismatch".into(),
+        message: "peer speaks protocol v9; this build speaks only v10".into(),
     };
-    match raw_roundtrip(&mut conn, 3, keyed, Command::Begin) {
-        Reply::Err { kind, message } => assert_eq!(kind, "AuthFailed", "{message}"),
-        other => panic!("keyed pre-v8 begin produced {other:?}"),
+    let (newer, peer) = foreign_peer(newer);
+    match HipacClient::connect(newer) {
+        Err(WireError::Remote { kind, .. }) => assert_eq!(kind, "VersionMismatch"),
+        Err(other) => panic!("newer peer produced {other:?}"),
+        Ok(_) => panic!("connect to a newer peer succeeded"),
     }
-    // ...but unkeyed traffic is served from the unauthenticated class.
-    match raw_roundtrip(&mut conn, 4, RequestMeta::default(), Command::Begin) {
-        Reply::Txn(t) => {
-            assert_eq!(raw_roundtrip(&mut conn, 5, RequestMeta::default(), Command::Abort { txn: t }), Reply::Ok)
-        }
-        other => panic!("unkeyed pre-v8 begin produced {other:?}"),
-    }
-}
-
-/// An old peer must never see v8-only material: with nonzero v8
-/// counters on the server, a v4 session's `Stats` reply decodes with
-/// those fields absent (zero) while a v8 session sees them.
-#[test]
-fn old_peer_stats_carry_no_v8_fields() {
-    let server = server_with(ServerConfig {
-        auth_secret: Some(b"mixed-version-secret".to_vec()),
-        ..ServerConfig::default()
-    });
-    // Drive auth_failures nonzero from a v8 session with a bad token.
-    let mut v8 = TcpStream::connect(server.local_addr()).unwrap();
-    match raw_roundtrip(&mut v8, 1, RequestMeta::default(), Command::Ping { version: 8 }) {
-        Reply::Pong { version } => assert_eq!(version, 8),
-        other => panic!("ping produced {other:?}"),
-    }
-    match raw_roundtrip(
-        &mut v8,
-        2,
-        RequestMeta::default(),
-        Command::Auth { client_id: 42, token: vec![0u8; 32] },
-    ) {
-        Reply::Err { kind, .. } => assert_eq!(kind, "AuthFailed"),
-        other => panic!("bad token produced {other:?}"),
-    }
-    match raw_roundtrip(&mut v8, 3, RequestMeta::default(), Command::Stats) {
-        Reply::Stats(s) => assert!(s.auth_failures >= 1, "v8 peer sees live counter"),
-        other => panic!("stats produced {other:?}"),
-    }
-
-    let mut v4 = TcpStream::connect(server.local_addr()).unwrap();
-    match raw_roundtrip(&mut v4, 1, RequestMeta::default(), Command::Ping { version: 4 }) {
-        Reply::Pong { version } => assert_eq!(version, 4),
-        other => panic!("ping produced {other:?}"),
-    }
-    match raw_roundtrip(&mut v4, 2, RequestMeta::default(), Command::Stats) {
-        Reply::Stats(s) => {
-            assert_eq!(s.auth_failures, 0, "v8 field leaked into a v4 reply");
-            assert_eq!(s.tenants_active, 0);
-            assert_eq!(s.tenant_shed_requests, 0);
-        }
-        other => panic!("stats produced {other:?}"),
-    }
+    peer.join().unwrap();
+    assert!(started.elapsed() < Duration::from_secs(5), "connect hung");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The shared per-address circuit breaker: repeated dial failures trip

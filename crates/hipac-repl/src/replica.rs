@@ -4,8 +4,9 @@
 //! A [`ReplicaNode`] maintains two socket roles at once:
 //!
 //! * **Follower** — one outbound connection to the primary. It
-//!   negotiates protocol v5, sends `ReplSubscribe` from its durable
-//!   watermark, applies each [`ReplMsg::Batch`] through
+//!   pings (a peer of another protocol version refuses), sends
+//!   `ReplSubscribe` from its durable watermark, applies each
+//!   [`ReplMsg::Batch`] through
 //!   [`DurableStore::apply_replicated`] (the recovery-equivalent path:
 //!   batch + watermark are one atomic commit), mirrors the batch into
 //!   the in-memory [`ReplicaView`], and reports `ReplProgress` so the
@@ -39,8 +40,8 @@ use std::time::{Duration, Instant};
 use hipac::ActiveDatabase;
 use hipac_common::{HipacError, ReplCounters, Result, ROLE_REPLICA};
 use hipac_net::proto::{
-    Command, Frame, PushEvent, Reply, ReplMsg, RequestMeta, WireRow, WireStats, MAX_FRAME,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    answer_ping, Command, Frame, PushEvent, Reply, ReplMsg, RequestMeta, WireRow, WireStats,
+    MAX_FRAME, PROTOCOL_VERSION,
 };
 use hipac_net::{HipacServer, ServerConfig};
 use hipac_storage::{batch_digest, fold_digest, DurableStore, TailTruncate, REPL_SNAPSHOT_SENTINEL};
@@ -154,10 +155,6 @@ struct Shared {
     /// Primary's durable frontier, from batches and heartbeats.
     primary_durable: AtomicU64,
     connected: AtomicBool,
-    /// Protocol version negotiated on the live upstream connection;
-    /// forwarded requests must be encoded at it (a v8 primary treats
-    /// trailing v9 epoch bytes as frame garbage).
-    upstream_version: AtomicU64,
 }
 
 impl Shared {
@@ -169,7 +166,6 @@ impl Shared {
     /// primary's `Ok` reply lands in the follower read loop and is
     /// dropped there.
     fn send_upstream(&self, command: Command) {
-        let version = self.upstream_version.load(Ordering::Relaxed) as u32;
         let frame = Frame::Request {
             id: 0,
             meta: RequestMeta::default(),
@@ -177,7 +173,7 @@ impl Shared {
         };
         let mut guard = self.upstream.lock();
         if let Some(stream) = guard.as_mut() {
-            if stream.write_all(&frame.encode_versioned(version)).is_err() {
+            if stream.write_all(&frame.encode()).is_err() {
                 *guard = None; // follower loop will reconnect
             }
         }
@@ -188,12 +184,10 @@ impl Shared {
     fn fan_out(&self, event: PushEvent) {
         let wire = Frame::Push(event.clone()).encode();
         let mut subs = self.subs.lock();
-        if event.seq > 0 {
-            subs.pending
-                .entry(event.handler.clone())
-                .or_default()
-                .insert(event.seq, event.clone());
-        }
+        subs.pending
+            .entry(event.handler.clone())
+            .or_default()
+            .insert(event.seq, event.clone());
         if let Some(writers) = subs.subscribers.get_mut(&event.handler) {
             writers.retain(|(_, w)| {
                 let ok = w.lock().write_all(&wire).is_ok();
@@ -262,7 +256,6 @@ impl ReplicaNode {
             subs: Mutex::new(SubState::default()),
             primary_durable: AtomicU64::new(applied),
             connected: AtomicBool::new(false),
-            upstream_version: AtomicU64::new(u64::from(PROTOCOL_VERSION)),
         });
 
         let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -537,8 +530,8 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
     };
     let mut reader = TickReader::new();
 
-    // Handshake: negotiate v5 (a v4 primary cannot ship), then
-    // subscribe from our durable watermark.
+    // Handshake: ping (a primary of another protocol version refuses
+    // it), then subscribe from our durable watermark.
     let ping = Frame::Request {
         id: 1,
         meta: RequestMeta::default(),
@@ -554,13 +547,10 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
     // server defers peer registration until its Ok is on the wire, so
     // nothing *should* precede the ack; this is defense in depth.)
     let mut deferred: VecDeque<Frame> = VecDeque::new();
-    let negotiated = match wait_reply(shared, &mut reader, &mut stream, 1, &mut deferred) {
-        Some(Reply::Pong { version }) if version >= 5 => version,
+    match wait_reply(shared, &mut reader, &mut stream, 1, &mut deferred) {
+        Some(Reply::Pong { version }) if version == PROTOCOL_VERSION => {}
         _ => return FollowEnd::Disconnected,
-    };
-    shared
-        .upstream_version
-        .store(u64::from(negotiated), Ordering::Relaxed);
+    }
     let start_lsn = store.replicated_applied_lsn().ok().flatten().unwrap_or(0);
     let sub = Frame::Request {
         id: 2,
@@ -570,7 +560,7 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
             epoch: store.repl_epoch(),
         },
     };
-    if stream.write_all(&sub.encode_versioned(negotiated)).is_err() {
+    if stream.write_all(&sub.encode()).is_err() {
         return FollowEnd::Disconnected;
     }
     match wait_reply(shared, &mut reader, &mut stream, 2, &mut deferred) {
@@ -659,7 +649,7 @@ enum ReplApply {
 /// Observe the epoch stamped on a replication message. Newer epochs
 /// are adopted (persisted first, so the observation can never be
 /// rolled back by a crash); an older one marks the sender as a deposed
-/// primary whose stream must not be applied. Epoch 0 is the pre-v9 /
+/// primary whose stream must not be applied. Epoch 0 is the
 /// never-promoted world and always passes.
 fn observe_epoch(shared: &Arc<Shared>, store: &Arc<DurableStore>, wire_epoch: u64) -> ReplApply {
     if wire_epoch == 0 {
@@ -838,7 +828,6 @@ fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     };
     let writer = Arc::new(Mutex::new(writer_stream));
     let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
-    let mut negotiated = MIN_PROTOCOL_VERSION;
     let mut reader = TickReader::new();
 
     while !shared.stop.load(Ordering::SeqCst) {
@@ -851,13 +840,9 @@ fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
             Ok(Frame::Request { id, command, .. }) => (id, command),
             _ => break,
         };
-        let reply = execute(shared, session, &writer, &mut negotiated, command);
+        let reply = execute(shared, session, &writer, command);
         let frame = Frame::Response { id, reply };
-        if writer
-            .lock()
-            .write_all(&frame.encode_versioned(negotiated))
-            .is_err()
-        {
+        if writer.lock().write_all(&frame.encode()).is_err() {
             break;
         }
     }
@@ -874,16 +859,10 @@ fn execute(
     shared: &Arc<Shared>,
     session: u64,
     writer: &Arc<Mutex<TcpStream>>,
-    negotiated: &mut u32,
     command: Command,
 ) -> Reply {
     match command {
-        Command::Ping { version } => {
-            *negotiated = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-            Reply::Pong {
-                version: *negotiated,
-            }
-        }
+        Command::Ping { version } => answer_ping(version),
         Command::Stats => {
             let c = &shared.counters;
             Reply::Stats(Box::new(WireStats {
@@ -1011,14 +990,9 @@ pub fn fence_stale_primary(addr: &str, epoch: u64) -> Result<()> {
     stream
         .write_all(&ping.encode())
         .map_err(|e| HipacError::Io(e.to_string()))?;
-    let version = match wait_reply_raw(&mut reader, &mut stream, 1)? {
-        Reply::Pong { version } => version,
+    match wait_reply_raw(&mut reader, &mut stream, 1)? {
+        Reply::Pong { .. } => {}
         other => return Err(HipacError::Io(format!("unexpected handshake reply: {other:?}"))),
-    };
-    if version < 9 {
-        return Err(HipacError::Io(
-            "peer predates epoch fencing (protocol < 9): cannot fence".into(),
-        ));
     }
 
     let fence = Frame::Request {
@@ -1031,7 +1005,7 @@ pub fn fence_stale_primary(addr: &str, epoch: u64) -> Result<()> {
         },
     };
     stream
-        .write_all(&fence.encode_versioned(version))
+        .write_all(&fence.encode())
         .map_err(|e| HipacError::Io(e.to_string()))?;
     match wait_reply_raw(&mut reader, &mut stream, 2)? {
         // `Ok`: the peer was at (or already past) this epoch.

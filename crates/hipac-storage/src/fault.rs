@@ -83,6 +83,10 @@ pub struct FaultPolicy {
     plan: Plan,
     enabled: bool,
     state: Mutex<State>,
+    /// Hit index whose crossing thread parks until
+    /// [`FaultPolicy::open_gate`] (see [`FaultPolicy::close_gate_at`]).
+    gate: std::sync::Mutex<Option<u64>>,
+    gate_opened: std::sync::Condvar,
 }
 
 impl FaultPolicy {
@@ -97,6 +101,8 @@ impl FaultPolicy {
                 // xorshift64 must not start at 0.
                 rng: seed | 1,
             }),
+            gate: std::sync::Mutex::new(None),
+            gate_opened: std::sync::Condvar::new(),
         })
     }
 
@@ -132,6 +138,20 @@ impl FaultPolicy {
         self.state.lock().crashed
     }
 
+    /// Park the thread that crosses hit index `n` (after the hit is
+    /// counted and any crash decided) until [`FaultPolicy::open_gate`].
+    /// A test scheduling hook: it holds one committer at a known point,
+    /// e.g. a flush leader inside its cohort flush, while others queue.
+    pub fn close_gate_at(&self, n: u64) {
+        *self.gate.lock().expect("fault gate poisoned") = Some(n);
+    }
+
+    /// Release the thread parked by [`FaultPolicy::close_gate_at`].
+    pub fn open_gate(&self) {
+        *self.gate.lock().expect("fault gate poisoned") = None;
+        self.gate_opened.notify_all();
+    }
+
     /// The error an injected crash surfaces as.
     pub fn crash_error(point: FaultPoint) -> HipacError {
         HipacError::Io(format!("injected crash at {point:?}"))
@@ -160,30 +180,39 @@ impl FaultPolicy {
         if !self.enabled {
             return Ok(None);
         }
-        let mut s = self.state.lock();
-        if s.crashed {
-            return Err(Self::crash_error(point));
-        }
-        let idx = s.hits;
-        s.hits += 1;
-        s.log.push(point);
-        if let Plan::CrashAt(n) = self.plan {
-            if idx == n {
-                s.crashed = true;
-                if len > 0 {
-                    // xorshift64: deterministic torn-prefix length in
-                    // 0..=len (len itself means crash-after-write).
-                    let mut x = s.rng;
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    s.rng = x;
-                    return Ok(Some((x % (len as u64 + 1)) as usize));
-                }
+        let (idx, outcome) = {
+            let mut s = self.state.lock();
+            if s.crashed {
                 return Err(Self::crash_error(point));
             }
+            let idx = s.hits;
+            s.hits += 1;
+            s.log.push(point);
+            let outcome = match self.plan {
+                Plan::CrashAt(n) if idx == n => {
+                    s.crashed = true;
+                    if len > 0 {
+                        // xorshift64: deterministic torn-prefix length in
+                        // 0..=len (len itself means crash-after-write).
+                        let mut x = s.rng;
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        s.rng = x;
+                        Ok(Some((x % (len as u64 + 1)) as usize))
+                    } else {
+                        Err(Self::crash_error(point))
+                    }
+                }
+                _ => Ok(None),
+            };
+            (idx, outcome)
+        };
+        let mut gate = self.gate.lock().expect("fault gate poisoned");
+        while *gate == Some(idx) {
+            gate = self.gate_opened.wait(gate).expect("fault gate poisoned");
         }
-        Ok(None)
+        outcome
     }
 }
 

@@ -281,6 +281,9 @@ pub struct GroupCommitStats {
     pub grouped_txns: u64,
     /// Largest cohort a single fsync has covered.
     pub largest_group: u64,
+    /// Committers currently inside `commit` (queued, leading, or about
+    /// to queue) — the count a leader's straggler window waits for.
+    pub committers: u64,
 }
 
 /// One committer's parked batch, waiting for a leader's fsync. The
@@ -481,6 +484,7 @@ impl DurableStore {
             groups: self.group.groups.load(Ordering::Relaxed),
             grouped_txns: self.group.grouped_txns.load(Ordering::Relaxed),
             largest_group: self.group.largest_group.load(Ordering::Relaxed),
+            committers: self.group.committers.load(Ordering::Relaxed) as u64,
         }
     }
 

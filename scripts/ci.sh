@@ -10,6 +10,13 @@ cargo build --release
 echo "==> cargo test -q (full workspace, network matching — the default)"
 cargo test -q
 
+echo "==> cargo test -q (tier-1 pinned to one core)"
+if command -v taskset >/dev/null 2>&1; then
+  taskset -c 0 cargo test -q
+else
+  echo "==> taskset unavailable; skipping the one-core tier-1 run"
+fi
+
 echo "==> cargo test -q (naive matching: engine-level suites under the oracle dispatch path)"
 HIPAC_MATCHING=naive cargo test -q -p hipac -p hipac-rules -p hipac-bench
 

@@ -6,6 +6,13 @@
 //! residual conditions), data churn, rule churn (create / alter / drop
 //! / enable / disable), abort-heavy schedules, durable restarts (in
 //! either mode) and injected storage crashes.
+//!
+//! Handler-call order is defined only at firing parallelism 1: at
+//! higher parallelism sibling firings call the `audit` handler in any
+//! order. So every strict-order comparison pins parallelism to 1, and
+//! a separate parallel run compares what the engine does define there:
+//! the multiset of rules fired per step, satisfied counts and committed
+//! state.
 
 use hipac::prelude::*;
 use hipac::Matching;
@@ -209,8 +216,19 @@ struct Harness {
     next_rule: u64,
 }
 
-fn build(mode: Matching, dir: Option<&PathBuf>, faults: Option<Arc<FaultPolicy>>) -> Result<Harness> {
-    let mut b = ActiveDatabase::builder().matching(mode).workers(1);
+/// Firing parallelism of every strict-order comparison.
+const SEQUENTIAL: usize = 1;
+
+fn build(
+    mode: Matching,
+    dir: Option<&PathBuf>,
+    faults: Option<Arc<FaultPolicy>>,
+    parallelism: usize,
+) -> Result<Harness> {
+    let mut b = ActiveDatabase::builder()
+        .matching(mode)
+        .workers(1)
+        .firing_parallelism(parallelism);
     if let Some(dir) = dir {
         b = b.durable(dir);
     }
@@ -400,21 +418,38 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 /// Replay `schedule` against a fresh engine per mode and demand
-/// identical observable behavior.
-fn run_diff(seed: u64, steps: usize, abort_pct: u64) {
+/// identical observable behavior. At parallelism 1 the fired-rule
+/// traces must match in order; above it, each step's fired rules must
+/// match as a multiset.
+fn run_diff(seed: u64, steps: usize, abort_pct: u64, parallelism: usize) {
     let schedule = make_schedule(seed, steps, abort_pct);
-    let mut naive = build(Matching::Naive, None, None).unwrap();
-    let mut network = build(Matching::Network, None, None).unwrap();
+    let mut naive = build(Matching::Naive, None, None, parallelism).unwrap();
+    let mut network = build(Matching::Network, None, None, parallelism).unwrap();
     naive.seed_data().unwrap();
     network.seed_data().unwrap();
     for (i, step) in schedule.iter().enumerate() {
+        let before = naive.fired().len();
         naive.apply(step).unwrap();
         network.apply(step).unwrap();
-        assert_eq!(
-            naive.fired(),
-            network.fired(),
-            "seed {seed}: fired-rule traces diverged after step {i}: {step:?}"
-        );
+        if parallelism == SEQUENTIAL {
+            assert_eq!(
+                naive.fired(),
+                network.fired(),
+                "seed {seed}: fired-rule traces diverged after step {i}: {step:?}"
+            );
+        } else {
+            let step_fired = |h: &Harness| {
+                let mut fired = h.fired().split_off(before);
+                fired.sort();
+                fired
+            };
+            assert_eq!(
+                step_fired(&naive),
+                step_fired(&network),
+                "seed {seed} parallelism {parallelism}: fired-rule multisets diverged \
+                 at step {i}: {step:?}"
+            );
+        }
     }
     assert_eq!(naive.state(), network.state(), "seed {seed}: committed state diverged");
     assert_eq!(
@@ -430,14 +465,26 @@ fn run_diff(seed: u64, steps: usize, abort_pct: u64) {
 #[test]
 fn randomized_schedules_match() {
     for seed in [1, 2, 3, 4, 5] {
-        run_diff(seed, 40, 15);
+        run_diff(seed, 40, 15, SEQUENTIAL);
     }
 }
 
 #[test]
 fn abort_heavy_schedules_match() {
     for seed in [11, 12, 13] {
-        run_diff(seed, 40, 60);
+        run_diff(seed, 40, 60, SEQUENTIAL);
+    }
+}
+
+/// The same schedules with concurrent sibling firings: per-step fired
+/// multisets, satisfied counts and committed state still match.
+#[test]
+fn parallel_firing_schedules_match_as_multisets() {
+    for seed in [1, 2, 3, 4, 5] {
+        run_diff(seed, 40, 15, 4);
+    }
+    for seed in [11, 12, 13] {
+        run_diff(seed, 40, 60, 4);
     }
 }
 
@@ -452,8 +499,8 @@ fn durable_restart_crosses_modes() {
     let dir_a = tmpdir("restart-a");
     let dir_b = tmpdir("restart-b");
 
-    let mut a = build(Matching::Naive, Some(&dir_a), None).unwrap();
-    let mut b = build(Matching::Network, Some(&dir_b), None).unwrap();
+    let mut a = build(Matching::Naive, Some(&dir_a), None, SEQUENTIAL).unwrap();
+    let mut b = build(Matching::Network, Some(&dir_b), None, SEQUENTIAL).unwrap();
     a.seed_data().unwrap();
     b.seed_data().unwrap();
     let mut next_rule = 0;
@@ -469,8 +516,8 @@ fn durable_restart_crosses_modes() {
     // Swap modes on reopen: the naive store loads into a network
     // engine (guard records persisted by naive-mode commits must be
     // fresh) and vice versa.
-    let mut a = build(Matching::Network, Some(&dir_a), None).unwrap();
-    let mut b = build(Matching::Naive, Some(&dir_b), None).unwrap();
+    let mut a = build(Matching::Network, Some(&dir_a), None, SEQUENTIAL).unwrap();
+    let mut b = build(Matching::Naive, Some(&dir_b), None, SEQUENTIAL).unwrap();
     a.next_rule = next_rule;
     b.next_rule = next_rule;
     for step in second {
@@ -498,7 +545,7 @@ fn storage_faults_match() {
             // The crash may fire while the engine itself opens (catalog
             // page writes), while seeding, or mid-schedule; record which.
             // Crashes are sticky, so the run stops at the first hit.
-            let failed_at = match build(mode, Some(&dir), Some(faults)) {
+            let failed_at = match build(mode, Some(&dir), Some(faults), SEQUENTIAL) {
                 Err(_) => -2i64,
                 Ok(mut h) => {
                     if h.seed_data().is_err() {
@@ -516,7 +563,7 @@ fn storage_faults_match() {
                 }
             };
             // Recover with a clean policy and dump the state.
-            let h = build(mode, Some(&dir), None).unwrap();
+            let h = build(mode, Some(&dir), None, SEQUENTIAL).unwrap();
             results.push((failed_at, h.state()));
         }
         assert_eq!(
